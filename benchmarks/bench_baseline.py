@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import pathlib
 import statistics
 import sys
 import time
 
 from avipack import perf
+from avipack.publish import publish
 from avipack.thermal.batch import solve_batched
 from avipack.thermal.network import ThermalNetwork
 from avipack.thermal.transient import TransientNetworkSolver
@@ -192,9 +192,8 @@ def run_benches(rounds=25):
 
 def write_baseline(path, rounds):
     document = run_benches(rounds)
-    tmp = path.parent / f"{path.name}.tmp.{os.getpid()}"
-    tmp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    publish(str(path), (json.dumps(document, indent=2, sort_keys=True)
+                        + "\n").encode("utf-8"))
     print(f"wrote {path} ({len(document['benches'])} benches)")
     return 0
 
@@ -270,10 +269,9 @@ def compare_baseline(path, rounds, tolerance, report_path=None):
     comparison["failures"] = failures
     comparison["ok"] = not failures
     if report_path is not None:
-        tmp = report_path.parent / f"{report_path.name}.tmp.{os.getpid()}"
-        tmp.write_text(json.dumps(comparison, indent=2, sort_keys=True)
-                       + "\n")
-        os.replace(tmp, report_path)
+        publish(str(report_path),
+                (json.dumps(comparison, indent=2, sort_keys=True)
+                 + "\n").encode("utf-8"))
         print(f"comparison written to {report_path}")
     if failures:
         print("\n" + "\n".join(f"FAIL: {line}" for line in failures))

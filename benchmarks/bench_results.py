@@ -33,6 +33,7 @@ import time
 import numpy as np
 
 from avipack import perf
+from avipack.publish import publish
 from avipack.results import (
     ResultStore,
     ResultStoreWriter,
@@ -216,9 +217,8 @@ def run_benches(rounds=9):
 
 def write_baseline(path, rounds):
     document = run_benches(rounds)
-    tmp = path.parent / f"{path.name}.tmp.{os.getpid()}"
-    tmp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+    publish(str(path), (json.dumps(document, indent=2, sort_keys=True)
+                        + "\n").encode("utf-8"))
     print(f"wrote {path} ({len(document['benches'])} benches)")
     return 0
 
@@ -272,10 +272,9 @@ def compare_baseline(path, rounds, tolerance, report_path=None):
     comparison["failures"] = failures
     comparison["ok"] = not failures
     if report_path is not None:
-        tmp = report_path.parent / f"{report_path.name}.tmp.{os.getpid()}"
-        tmp.write_text(json.dumps(comparison, indent=2, sort_keys=True)
-                       + "\n")
-        os.replace(tmp, report_path)
+        publish(str(report_path),
+                (json.dumps(comparison, indent=2, sort_keys=True)
+                 + "\n").encode("utf-8"))
         print(f"comparison written to {report_path}")
     if failures:
         print("\n" + "\n".join(f"FAIL: {line}" for line in failures))

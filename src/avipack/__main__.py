@@ -123,26 +123,12 @@ def _report_json_payload(report, top: int) -> dict:
 
 
 def _write_report_json(path: str, report, top: int) -> None:
-    """Atomically publish the ranked report as JSON (tmp + os.replace)."""
+    """Atomically publish the ranked report as JSON."""
     import json
-    import os
-    import tempfile
+    from .publish import publish
 
-    payload = _report_json_payload(report, top)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory,
-                               prefix=os.path.basename(path) + ".tmp.")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as stream:
-            json.dump(payload, stream, indent=2, sort_keys=True)
-            stream.write("\n")
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    publish(path, (json.dumps(_report_json_payload(report, top), indent=2,
+                              sort_keys=True) + "\n").encode("ascii"))
 
 
 def _run_sweep(argv) -> int:

@@ -23,6 +23,7 @@ from typing import Counter as CounterType
 from typing import Dict, Iterable, List, Tuple
 
 from ..errors import InputError
+from ..publish import publish
 from .findings import Finding
 
 __all__ = ["Baseline"]
@@ -68,13 +69,8 @@ class Baseline:
         }
 
     def save(self, path: str) -> None:
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as stream:
-            json.dump(self.to_payload(), stream, indent=1, sort_keys=True)
-            stream.write("\n")
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp, path)
+        publish(path, (json.dumps(self.to_payload(), indent=1,
+                                  sort_keys=True) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: str) -> "Baseline":

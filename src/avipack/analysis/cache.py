@@ -37,6 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..errors import InputError
 from ..fingerprint import stable_fingerprint
+from ..publish import publish
 from .findings import Finding
 from .project import ModuleSummary
 
@@ -157,13 +158,8 @@ class AnalysisCache:
 
     def save(self, path: str) -> None:
         """Write the cache to ``path`` as JSON (atomic + durable)."""
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as stream:
-            json.dump(self.to_payload(), stream, indent=1, sort_keys=True)
-            stream.write("\n")
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp, path)
+        publish(path, (json.dumps(self.to_payload(), indent=1,
+                                  sort_keys=True) + "\n").encode("utf-8"))
 
     @classmethod
     def load(cls, path: str, rules_signature: str) -> "AnalysisCache":

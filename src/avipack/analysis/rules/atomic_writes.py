@@ -38,8 +38,8 @@ __all__ = ["AVI006AtomicPersist"]
 #: stream usage cannot be traced.
 _PERSISTED_SUFFIXES = (".json", ".jsonl")
 
-_SUGGESTION = ("write the payload to a temp file in the same directory "
-               "and os.replace() it onto the destination")
+_SUGGESTION = ("publish the encoded bytes with avipack.publish.publish() "
+               "(temp file in the same directory, fsync, os.replace())")
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -118,7 +118,7 @@ class AVI006AtomicPersist(Rule):
     rule_id = "AVI006"
     name = "atomic-persist"
     severity = Severity.ERROR
-    version = 1
+    version = 2
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         for node in ast.walk(ctx.tree):

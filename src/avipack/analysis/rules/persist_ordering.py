@@ -36,8 +36,8 @@ from . import Rule, register
 
 __all__ = ["AVI009PersistOrdering"]
 
-_SUGGESTION = ("order the publish as write -> flush() -> os.fsync() -> "
-               "os.replace() on every path")
+_SUGGESTION = ("publish through avipack.publish.publish(): write -> "
+               "flush() -> os.fsync() -> os.replace() on every path")
 
 _FUNCTION_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -103,7 +103,7 @@ class AVI009PersistOrdering(Rule):
     rule_id = "AVI009"
     name = "persist-ordering"
     severity = Severity.ERROR
-    version = 1
+    version = 2
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         for node in ast.walk(ctx.tree):

@@ -11,8 +11,8 @@ campaign crash-durable:
   and :func:`replay_journal`, the verify-or-quarantine replay that
   never crashes and never silently trusts a damaged record;
 * :mod:`~avipack.durability.diskcache` — :class:`DiskSolverCache`, a
-  persistent solver-cache backend (atomic tmp-file + ``os.replace``
-  publication, checksummed entries, corrupt entries evicted through
+  persistent solver-cache backend (checksummed entries published with
+  :func:`~avipack.publish.publish`, corrupt entries evicted through
   the standard :class:`~avipack.sweep.cache.CacheStats.corrupt` path)
   shared across resumed runs;
 * :mod:`~avipack.durability.audit` — the invariant battery

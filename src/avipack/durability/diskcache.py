@@ -9,8 +9,8 @@ for survive the process that computed them.
 
 Durability discipline matches the journal's:
 
-* entries are written to a temp file in the cache directory and
-  published with ``os.replace`` — readers (including concurrent sweep
+* entries are published atomically by
+  :func:`avipack.publish.publish` — readers (including concurrent sweep
   workers sharing the directory) see either the old entry, the new
   entry, or no entry, never a half-written one;
 * every entry embeds a SHA-256 checksum of its pickled payload; a
@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import os
 import pickle
-import tempfile
 import threading
 from typing import Any, Callable, Optional
 
 from ..errors import InputError
 from ..fingerprint import content_digest, stable_fingerprint
+from ..publish import publish
 from ..resilience.faults import corrupts as _corrupts
 from ..sweep.cache import CacheStats
 
@@ -128,24 +128,16 @@ class DiskSolverCache:
         return pickle.loads(payload)
 
     def _write(self, path: str, value: Any) -> None:
-        """Atomically publish one entry (tmp file + ``os.replace``)."""
+        """Atomically publish one entry (:func:`avipack.publish.publish`)."""
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         blob = _MAGIC + content_digest(payload).encode("ascii") \
             + b"\n" + payload
-        handle, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
         try:
-            with os.fdopen(handle, "wb") as stream:
-                stream.write(blob)
-                stream.flush()
-                os.fsync(stream.fileno())
-            os.replace(tmp, path)
+            publish(path, blob)
         except OSError:
             # A failed store is a lost optimisation, not a lost result:
             # the computed value was already returned to the caller.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            pass
 
     # -- protocol ------------------------------------------------------------
 

@@ -62,6 +62,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 
 from ..errors import DurabilityError, InputError, JournalError
 from ..fingerprint import content_crc32, content_digest
+from ..publish import publish
 from ..resilience.faults import corrupts as _corrupts
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -324,12 +325,7 @@ def _write_quarantine(path: str,
                          "raw": base64.b64encode(record.raw).decode()},
                         sort_keys=True)
              for record in records]
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as stream:
-        stream.write("\n".join(lines) + "\n")
-        stream.flush()
-        os.fsync(stream.fileno())
-    os.replace(tmp, path)
+    publish(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def replay_journal(path: str, quarantine_path: Optional[str] = None,

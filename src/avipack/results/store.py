@@ -11,12 +11,12 @@ Each file opens with one JSON header line carrying a magic string, the
 store schema version, the dtype fingerprint, the row/byte count and two
 checksums over the payload — CRC-32 (cheap first line of defence) and
 SHA-256 (authoritative) — mirroring the discipline of
-:mod:`avipack.durability.journal`.  Publication is atomic (payload to a
-temp file in the same directory, flush + ``fsync``, ``os.replace``),
-the blob pool lands before its rows file (the rows file is the commit
-point), and a shard that fails verification at open is renamed to a
-``.quarantine`` sidecar and skipped — its rows are recomputed or
-re-ingested from the journal, never trusted.
+:mod:`avipack.durability.journal`.  Publication is atomic
+(:func:`avipack.publish.publish`), the blob pool lands before its rows
+file (the rows file is the commit point), and a shard that fails
+verification at open is renamed to a ``.quarantine`` sidecar and
+skipped — its rows are recomputed or re-ingested from the journal,
+never trusted.
 
 Readers memory-map the row payloads (``np.memmap`` past the header), so
 ranking a million-candidate campaign touches only the columns it needs;
@@ -41,7 +41,6 @@ import json
 import os
 import pickle
 import re
-import tempfile
 import zlib
 from typing import (
     Any,
@@ -64,6 +63,7 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 from .. import perf as _perf
 from ..errors import InputError, ResultStoreError
 from ..fingerprint import content_crc32, content_digest
+from ..publish import publish
 from .schema import (
     DTYPE_FINGERPRINT,
     ROW_DTYPE,
@@ -113,37 +113,18 @@ def _lock_writer(stream: Any, directory: str) -> None:
             "this run its own store directory") from exc
 
 
-def _header_line(magic: str, n_rows: int, payload_crc32: str,
-                 payload_sha256: str, n_bytes: int) -> bytes:
+def _header_line(magic: str, n_rows: int, payload: bytes) -> bytes:
     header = {
         "magic": magic,
         "schema": STORE_SCHEMA_VERSION,
         "dtype": DTYPE_FINGERPRINT,
         "rows": n_rows,
-        "nbytes": n_bytes,
-        "crc32": payload_crc32,
-        "sha256": payload_sha256,
+        "nbytes": len(payload),
+        "crc32": content_crc32(payload),
+        "sha256": content_digest(payload),
     }
     return json.dumps(header, sort_keys=True,
                       separators=(",", ":")).encode("ascii") + b"\n"
-
-
-def _publish(path: str, header: bytes, payload: bytes) -> None:
-    """Atomically publish one shard file (tmp + fsync + ``os.replace``)."""
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory,
-                               prefix=os.path.basename(path) + ".tmp.")
-    try:
-        with os.fdopen(fd, "wb") as stream:
-            stream.write(header)
-            stream.write(payload)
-            stream.flush()
-            os.fsync(stream.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def next_shard_number(directory: str) -> int:
@@ -174,20 +155,11 @@ def publish_shard(directory: str, number: int, rows: np.ndarray,
     whoever is writing — a crash between the two leaves an orphan
     ``.blobs`` file that :meth:`ResultStore.open` never looks at.
     """
-    rows_payload = rows.tobytes()
     base = os.path.join(directory, f"shard-{number:06d}")
-    _publish(base + ".blobs",
-             _header_line(_BLOBS_MAGIC, len(rows),
-                          content_crc32(blobs),
-                          content_digest(blobs),
-                          len(blobs)),
-             blobs)
-    _publish(base + ".rows",
-             _header_line(_ROWS_MAGIC, len(rows),
-                          content_crc32(rows_payload),
-                          content_digest(rows_payload),
-                          len(rows_payload)),
-             rows_payload)
+    for suffix, magic, payload in ((".blobs", _BLOBS_MAGIC, blobs),
+                                   (".rows", _ROWS_MAGIC, rows.tobytes())):
+        publish(base + suffix,
+                _header_line(magic, len(rows), payload) + payload)
 
 
 class ResultStoreWriter:
@@ -259,7 +231,7 @@ class ResultStoreWriter:
         number = self._next_shard
         self._next_shard += 1
         publish_shard(self.directory, number,
-                      self._rows[:self._count], bytes(self._blobs))
+                      self._rows[:self._count], self._blobs)
         self._rows = None
         self._count = 0
         self._blobs = bytearray()
@@ -374,12 +346,7 @@ def _write_reason_sidecar(path: str, error: ResultStoreError) -> None:
     sidecar = json.dumps({"file": os.path.basename(path),
                           "reason": error.reason,
                           "detail": str(error)}, sort_keys=True)
-    tmp = f"{path}.reason.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as stream:
-        stream.write(sidecar + "\n")
-        stream.flush()
-        os.fsync(stream.fileno())
-    os.replace(tmp, path + ".quarantine.reason")
+    publish(path + ".quarantine.reason", (sidecar + "\n").encode("utf-8"))
 
 
 def _quarantine(path: str,

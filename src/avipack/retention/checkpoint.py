@@ -11,11 +11,11 @@ typically orders of magnitude smaller.
 
 Crash safety is the whole point of the design:
 
-* the checkpoint is written to a ``<journal>.compact.<pid>.tmp``
-  sibling, flushed and ``fsync``'d, and only then swapped in with
-  ``os.replace`` — until that one atomic rename the old journal is
-  untouched, so SIGKILL at *any* phase leaves either the old or the
-  new journal, both of which replay to the same state;
+* the checkpoint is published with :func:`avipack.publish.publish`
+  (temp sibling, ``fsync``, one atomic ``os.replace``) — until that
+  rename the old journal is untouched, so SIGKILL at *any* phase
+  leaves either the old or the new journal, both of which replay to
+  the same state;
 * the journal's advisory ``flock`` is held for the whole pass, so a
   live writer cannot interleave appends with the swap (and compaction
   refuses journals another process is writing);
@@ -44,6 +44,7 @@ from ..durability.journal import (
     replay_journal,
 )
 from ..errors import JournalError
+from ..publish import publish, sweep_temps
 
 __all__ = ["JournalCompaction", "compact_journal"]
 
@@ -65,18 +66,6 @@ class JournalCompaction:
         return max(0, self.bytes_before - self.bytes_after)
 
 
-def _sweep_stale_tmp(path: str) -> None:
-    """Remove tmp files a SIGKILL'd earlier compaction left behind."""
-    directory = os.path.dirname(path) or "."
-    prefix = os.path.basename(path) + ".compact."
-    for entry in os.listdir(directory):
-        if entry.startswith(prefix):
-            try:
-                os.unlink(os.path.join(directory, entry))
-            except OSError:  # pragma: no cover - racing cleanup is fine
-                pass
-
-
 def compact_journal(path: str,
                     quarantine_path: Optional[str] = None,
                     phase_hook: Optional[Callable[[str], None]] = None
@@ -85,8 +74,9 @@ def compact_journal(path: str,
 
     Holds the journal's advisory lock for the whole pass (raises
     :class:`~avipack.errors.DurabilityError` if a writer holds it) and
-    publishes via tmp + ``fsync`` + ``os.replace`` — the old journal
-    stays valid until the atomic swap.  Raises
+    publishes via :func:`avipack.publish.publish` — the old journal
+    stays valid until the atomic swap — after sweeping the journal's
+    own (never its neighbours') leftover temp files.  Raises
     :class:`~avipack.errors.JournalError` when no intact plan or
     checkpoint record survives to anchor the candidate set (such a
     journal cannot support a resume, compacted or not).
@@ -97,12 +87,13 @@ def compact_journal(path: str,
     process at every phase boundary and assert recovery.
     """
     hook = phase_hook or (lambda phase: None)
-    _sweep_stale_tmp(path)
     if not os.path.exists(path):
         raise JournalError(f"journal not found: {path}")
     stream = open(path, "ab")
     _lock_exclusive(stream, path)
     try:
+        sweep_temps(os.path.dirname(path) or ".",
+                    lambda target: target == os.path.basename(path))
         hook("replay")
         replay = replay_journal(path, quarantine_path)
         if replay.candidates is None:
@@ -128,15 +119,7 @@ def compact_journal(path: str,
         # identically (seeded fault injection scopes per seq).
         data = encode_record("checkpoint",
                              max(replay.next_seq - 1, 0), fields)
-        hook("write")
-        tmp = f"{path}.compact.{os.getpid()}.tmp"
-        with open(tmp, "wb") as out:
-            out.write(data)
-            out.flush()
-            hook("fsync")
-            os.fsync(out.fileno())
-        hook("replace")
-        os.replace(tmp, path)
+        publish(path, data, phase_hook=hook)
         hook("done")
     finally:
         stream.close()

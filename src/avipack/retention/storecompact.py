@@ -25,8 +25,9 @@ shard — which is exactly the state a resumed campaign produces anyway:
 byte-identical (same ``index`` tie-break column, same metrics),
 ``ranking_signature`` is unchanged.  Re-running compaction finishes the
 job.  A crash between a shard's blobs and rows publication leaves an
-orphan ``.blobs`` file readers never look at; compaction sweeps such
-orphans too.
+orphan ``.blobs`` file, and one inside a publication a shard temp
+file; compaction sweeps both (but never reason-sidecar temp files,
+which readers publish without the writer lock).
 
 Quarantined files are left untouched (evidence for the operator), and a
 shard whose blob pool was quarantined is *not* rewritten — its rows are
@@ -47,6 +48,7 @@ import numpy as np
 
 from .. import perf as _perf
 from ..errors import ResultStoreError
+from ..publish import sweep_temps
 from ..results.schema import ROW_DTYPE
 from ..results.store import (
     _LOCK_NAME,
@@ -109,7 +111,7 @@ def compact_store(directory: str,
                   shard_rows: int = DEFAULT_SHARD_ROWS,
                   phase_hook: Optional[Callable[[str], None]] = None
                   ) -> StoreCompaction:
-    """Rewrite shards holding superseded rows; sweep orphan blob pools.
+    """Rewrite shards holding superseded rows; sweep crash debris.
 
     Takes the store's writer lock for the whole pass (raises
     :class:`~avipack.errors.ResultStoreError` on contention or a
@@ -127,6 +129,9 @@ def compact_store(directory: str,
     _lock_writer(lock_stream, directory)
     try:
         hook("open")
+        # The lock excludes every shard publisher: these are debris.
+        swept = sweep_temps(directory,
+                            lambda name: bool(_SHARD_PATTERN.match(name)))
         orphans = _orphan_blobs(directory)
         store = ResultStore.open(directory)
         live = store.live_mask()
@@ -136,7 +141,7 @@ def compact_store(directory: str,
             mask = live[shard.row_base:shard.row_base + shard.n_rows]
             if shard.blobs_available and not mask.all():
                 rewrite.append((shard, mask))
-        bytes_before = sum(
+        bytes_before = swept + sum(
             _file_size(os.path.join(directory, name))
             for name in orphans)
         rows_dropped = 0
@@ -162,7 +167,7 @@ def compact_store(directory: str,
                 blobs += blob
                 rows[position] = record
             hook("publish")
-            publish_shard(directory, number, rows, bytes(blobs))
+            publish_shard(directory, number, rows, blobs)
             base = os.path.join(directory, f"shard-{number:06d}")
             bytes_after += _file_size(base + ".rows")
             bytes_after += _file_size(base + ".blobs")

@@ -7,6 +7,7 @@ import pytest
 from avipack.durability import DiskSolverCache, worker_disk_cache
 from avipack.durability.diskcache import _MAGIC
 from avipack.errors import InputError
+from avipack.publish import temp_target
 from avipack.resilience import faults as faults_mod
 from avipack.resilience.faults import FaultPlan, FaultSpec
 from avipack.sweep import DesignSpace, SweepRunner
@@ -25,8 +26,7 @@ def entry_files(directory):
 
 
 def tmp_files(directory):
-    return [name for name in os.listdir(directory)
-            if name.endswith(".tmp")]
+    return [name for name in os.listdir(directory) if temp_target(name)]
 
 
 class TestRoundTrip:

@@ -18,6 +18,7 @@ import textwrap
 import pytest
 
 from avipack.durability import replay_journal
+from avipack.publish import temp_target
 from avipack.results import ResultStore, ResultStoreWriter, \
     ranking_signature
 from avipack.retention import compact_journal, compact_store
@@ -104,7 +105,7 @@ class TestJournalKill:
         assert resumed.durability.n_recomputed == 0
         assert ranking(resumed) == expected
         debris = [name for name in os.listdir(tmp_path)
-                  if ".compact." in name]
+                  if temp_target(name)]
         assert debris == []
 
 

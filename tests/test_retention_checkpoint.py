@@ -20,6 +20,7 @@ from avipack.durability import SweepJournal, replay_journal
 from avipack.durability.journal import _canonical
 from avipack.errors import DurabilityError, JournalError
 from avipack.fingerprint import content_crc32, content_digest
+from avipack.publish import TEMP_MARKER, temp_target
 from avipack.retention import compact_journal
 from avipack.sweep import Candidate, DesignSpace, SweepRunner
 from avipack.sweep.runner import CandidateResult
@@ -168,6 +169,26 @@ class TestRefusals:
         compact_journal(path)  # released lock admits the compactor
 
 
+class TestTempSweep:
+    def test_sweeps_only_the_journals_own_temp_files(self, journalled):
+        # A service journal directory also holds other jobs' in-flight
+        # manifest publishes; only this journal's debris may go.
+        directory = os.path.dirname(journalled)
+        own = journalled + TEMP_MARKER + "k3x9_q2a"
+        others = [
+            os.path.join(directory,
+                         "j000002.manifest.json" + TEMP_MARKER + "a1b2c3d4"),
+            journalled + ".quarantine" + TEMP_MARKER + "e5f6g7h8",
+            os.path.join(directory, "other.jsonl" + TEMP_MARKER + "i9j0k1l2"),
+        ]
+        for path in [own] + others:
+            with open(path, "wb") as stream:
+                stream.write(b"partial")
+        compact_journal(journalled)
+        assert not os.path.exists(own)
+        assert all(os.path.exists(path) for path in others)
+
+
 class TestSequenceParity:
     def test_appends_after_compaction_carry_identical_seqs(
             self, tmp_path):
@@ -254,7 +275,7 @@ class TestPhaseAborts:
         assert replay_state(journalled) == before
         # ...and leaves no tmp debris behind.
         debris = [name for name in os.listdir(os.path.dirname(journalled))
-                  if ".compact." in name]
+                  if temp_target(name)]
         assert debris == []
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from avipack import perf
 from avipack.errors import ResultStoreError
+from avipack.publish import TEMP_MARKER
 from avipack.results import ResultStore, ResultStoreWriter, \
     ranking_signature
 from avipack.retention import compact_store
@@ -142,6 +143,38 @@ class TestCompaction:
         assert compaction.orphan_blobs_removed == 1
         assert compaction.changed is True
         assert not os.path.exists(orphan)
+
+    def test_shard_temp_files_are_swept_and_counted(self, tmp_path):
+        # What a SIGKILL inside a shard publish leaves behind.
+        directory = str(tmp_path / "store")
+        with ResultStoreWriter(directory, shard_rows=4) as writer:
+            writer.add_many(make_result(i, power=10.0 + i)
+                            for i in range(4))
+        listing = sorted(os.listdir(directory))
+        for name, size in (("shard-000001.blobs", 300),
+                           ("shard-000001.rows", 200)):
+            with open(os.path.join(directory, name + TEMP_MARKER
+                                   + "k3x9_q2a"), "wb") as stream:
+                stream.write(b"x" * size)
+        compaction = compact_store(directory)
+        assert compaction.bytes_reclaimed == 500
+        assert sorted(os.listdir(directory)) == listing
+
+    def test_reason_sidecar_temp_files_are_never_swept(self, tmp_path):
+        # Readers publish reason sidecars without the writer lock, so
+        # such a temp file may belong to a live publish.
+        directory = str(tmp_path / "store")
+        with ResultStoreWriter(directory, shard_rows=4) as writer:
+            writer.add_many(make_result(i, power=10.0 + i)
+                            for i in range(4))
+        in_flight = os.path.join(
+            directory,
+            "shard-000000.rows.quarantine.reason" + TEMP_MARKER + "a1b2c3d4")
+        with open(in_flight, "wb") as stream:
+            stream.write(b"{}")
+        compaction = compact_store(directory)
+        assert compaction.bytes_reclaimed == 0
+        assert os.path.exists(in_flight)
 
     def test_quarantined_shards_are_left_as_evidence(self, tmp_path):
         directory = str(tmp_path / "store")
